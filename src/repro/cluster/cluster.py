@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.config import ClusterConfig, CostModelConfig
+from repro.common.counter import ChangeCounter
 from repro.common.errors import ConfigError
 from repro.cluster.costmodel import CostModel
 from repro.cluster.network import Network
@@ -33,8 +34,14 @@ class Cluster:
 
         self.env = Environment()
         self.cost_model = CostModel(self.cost_config)
+        #: Shared by every worker: bumped on any flight-buffer mutation or
+        #: worker failure.  Queries bump it too when their own scheduling
+        #: state changes (see ``ExecutionContext.readiness_version``).
+        self.changes = ChangeCounter()
         self.workers: List[Worker] = [
-            Worker(self.env, worker_id, self.cluster_config, self.cost_config)
+            Worker(
+                self.env, worker_id, self.cluster_config, self.cost_config, self.changes
+            )
             for worker_id in range(self.cluster_config.num_workers)
         ]
         self.network = Network(

@@ -7,12 +7,15 @@ task name — so re-pushed duplicates (which happen during recovery) simply
 overwrite the original piece instead of being consumed twice.
 
 Flight buffers live in worker memory and are lost when the worker fails.
+Every mutation bumps the cluster's change counter, which TaskManagers use to
+tell when an input they were waiting for may have arrived.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.counter import ChangeCounter
 from repro.data.batch import Batch
 from repro.gcs.naming import TaskName
 
@@ -22,13 +25,15 @@ ConsumerKey = Tuple[int, int]
 class FlightServer:
     """In-memory buffer of not-yet-consumed input pieces, per consumer channel."""
 
-    def __init__(self, worker_id: int):
+    def __init__(self, worker_id: int, changes: Optional[ChangeCounter] = None):
         self.worker_id = worker_id
+        self.changes = changes if changes is not None else ChangeCounter()
         self._buffers: Dict[ConsumerKey, Dict[TaskName, Batch]] = {}
 
     def put(self, consumer: ConsumerKey, producer_task: TaskName, piece: Batch) -> None:
         """Store one piece destined for ``consumer``; duplicates overwrite."""
         self._buffers.setdefault(consumer, {})[producer_task] = piece
+        self.changes.bump()
 
     def available(self, consumer: ConsumerKey) -> List[TaskName]:
         """Producer task names with a piece buffered for ``consumer``."""
@@ -40,7 +45,9 @@ class FlightServer:
 
     def take(self, consumer: ConsumerKey, producer_task: TaskName) -> Batch:
         """Remove and return a buffered piece."""
-        return self._buffers[consumer].pop(producer_task)
+        piece = self._buffers[consumer].pop(producer_task)
+        self.changes.bump()
+        return piece
 
     def discard_below(self, consumer: ConsumerKey, upstream_stage: int,
                       upstream_channel: int, watermark_seq: int) -> int:
@@ -60,6 +67,8 @@ class FlightServer:
         ]
         for name in stale:
             del buffer[name]
+        if stale:
+            self.changes.bump()
         return len(stale)
 
     def buffered_bytes(self) -> int:
@@ -72,6 +81,7 @@ class FlightServer:
         """Destroy all buffered pieces (worker failure).  Returns pieces lost."""
         lost = sum(len(buffer) for buffer in self._buffers.values())
         self._buffers.clear()
+        self.changes.bump()
         return lost
 
     def wipe_stages(self, stage_ids) -> int:
@@ -85,4 +95,5 @@ class FlightServer:
         lost = 0
         for key in doomed:
             lost += len(self._buffers.pop(key))
+        self.changes.bump()
         return lost

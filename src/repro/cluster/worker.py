@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.config import ClusterConfig, CostModelConfig
+from repro.common.counter import ChangeCounter
 from repro.common.errors import WorkerFailedError
 from repro.cluster.flight import FlightServer
 from repro.cluster.storage import LocalDisk
@@ -21,8 +22,12 @@ class Worker:
         worker_id: int,
         cluster_config: ClusterConfig,
         cost_config: CostModelConfig,
+        changes: Optional[ChangeCounter] = None,
     ):
         self.env = env
+        #: The cluster-wide change counter; this worker bumps it on every
+        #: flight-buffer mutation and on its failure.
+        self.changes = changes if changes is not None else ChangeCounter()
         self.worker_id = worker_id
         self.cpu = Resource(env, capacity=cluster_config.cpus_per_worker)
         self.disk = LocalDisk(
@@ -31,7 +36,7 @@ class Worker:
             read_bps=cost_config.local_disk_read_bps,
             capacity_bytes=cluster_config.local_disk_capacity_bytes,
         )
-        self.flight = FlightServer(worker_id)
+        self.flight = FlightServer(worker_id, self.changes)
         self.alive = True
         self.failed_at: Optional[float] = None
         self._registered_processes: List[Process] = []
@@ -50,6 +55,7 @@ class Worker:
         if not self.alive:
             return
         self.alive = False
+        self.changes.bump()
         self.failed_at = self.env.now
         self.disk.wipe()
         self.flight.wipe()

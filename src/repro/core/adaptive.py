@@ -163,6 +163,23 @@ class AdaptiveController:
         target = self.probe_watch.get(stage_id)
         return target is not None and self.pending.get(target) == "size"
 
+    def _set_pending(self, join_id: int, phase: Optional[str]) -> None:
+        """Move a join to decision ``phase``; None means decided (un-gated).
+
+        ``probe_watch`` is fixed at registration, so this is the only way the
+        answer of :meth:`gated` changes; idle TaskManager attempts re-check.
+        """
+        if phase is None:
+            self.pending.pop(join_id, None)
+        else:
+            self.pending[join_id] = phase
+        self.execution.state_changed()
+
+    def _revised(self) -> None:
+        """Count one plan revision (links, channel counts or placement moved)."""
+        self.epoch += 1
+        self.execution.state_changed()
+
     def is_speculated(self, name: TaskName) -> bool:
         """True if ``name`` ever had a speculative duplicate launched."""
         return name in self.speculated
@@ -260,7 +277,7 @@ class AdaptiveController:
             self.broadcast_threshold_bytes,
             probe_stage.num_channels,
         ):
-            self.pending.pop(join_id, None)
+            self._set_pending(join_id, None)
             yield from self._convert_to_broadcast(stage, build, probe, probe_stage)
             return
         n_new = sized_channel_count(
@@ -271,7 +288,7 @@ class AdaptiveController:
         # Probe producers are released; the join itself stays gated until the
         # skew decision (made once enough probe bytes are in, or the probe
         # side completes).
-        self.pending[join_id] = "skew"
+        self._set_pending(join_id, "skew")
 
     def _convert_to_broadcast(
         self, stage: Stage, build: UpstreamLink, probe: UpstreamLink, probe_stage: Stage
@@ -324,7 +341,7 @@ class AdaptiveController:
         moves = self._rewrite_link_pieces(
             stage, build, n_old, old_placement, n_new, new_placement, compose
         )
-        self.epoch += 1
+        self._revised()
         execution.metrics.adaptive_broadcast_joins += 1
         if execution.tracer.enabled:
             execution.tracer.record_adaptation(
@@ -367,7 +384,7 @@ class AdaptiveController:
                     stage, link, n_old, old_placement, n_new, new_placement, compose
                 )
             )
-        self.epoch += 1
+        self._revised()
         execution.metrics.adaptive_channel_resizes += 1
         if execution.tracer.enabled:
             execution.tracer.record_adaptation(
@@ -394,7 +411,7 @@ class AdaptiveController:
             )
             if total < threshold:
                 return
-        self.pending.pop(join_id, None)  # decided either way; the join un-gates
+        self._set_pending(join_id, None)  # decided either way; the join un-gates
         if num_channels == 1 or total <= 0.0:
             return
         mean = total / num_channels
@@ -428,7 +445,7 @@ class AdaptiveController:
                     stage, link, num_channels, placement, num_channels, placement, compose
                 )
             )
-        self.epoch += 1
+        self._revised()
         execution.metrics.adaptive_skew_splits += 1
         if execution.tracer.enabled:
             execution.tracer.record_adaptation(

@@ -194,6 +194,10 @@ class ExecutionContext:
         self.query_finished = False
         self.done_event = self.env.event()
         self.poisoned_channels: set = set()
+        #: Idle-attempt memo of the session's TaskManagers:
+        #: (worker, task name, kind, prescribed) -> the readiness version at
+        #: which that descriptor last returned without yielding.
+        self.idle_attempts: Dict[tuple, tuple] = {}
         #: Submission time; runtime_seconds is measured from here, so for a
         #: session query it includes any time spent in the admission queue.
         self._started_at = self.env.now
@@ -271,6 +275,24 @@ class ExecutionContext:
                 manager.forced_grants for manager in self.memory_managers.values()
             )
 
+    # -- readiness versioning ---------------------------------------------------------
+
+    def readiness_version(self) -> tuple:
+        """A snapshot that changes whenever an idle attempt could stop being idle.
+
+        An idle attempt (``_run_descriptor`` returning False without
+        yielding) reads only the GCS tables, flight buffers, worker liveness,
+        the adaptive controller's gates, published runtime filters and
+        channel runtimes.  The first three bump the store's version or the
+        cluster's change counter themselves; the rest call
+        :meth:`state_changed`.
+        """
+        return (self.gcs.store.version, self.cluster.changes.value)
+
+    def state_changed(self) -> None:
+        """Invalidate idle-attempt memos after a change to query-local state."""
+        self.cluster.changes.bump()
+
     # -- channel runtimes -----------------------------------------------------------
 
     def runtime_for(self, worker_id: int, stage: Stage, channel: int) -> ChannelRuntime:
@@ -295,6 +317,7 @@ class ExecutionContext:
             per_worker.pop((stage_id, channel), None)
         for manager in self.memory_managers.values():
             manager.release((stage_id, channel))
+        self.state_changed()
 
     # -- memory / spill infrastructure ---------------------------------------------
 

@@ -146,6 +146,7 @@ class FilterCoordinator:
                     scaled + execution.PIECE_OVERHEAD,
                 )
             self.published.add(spec.filter_id)
+            execution.state_changed()  # lifts the target stage's gate
             execution.metrics.filters_published += 1
             execution.metrics.filter_bytes += float(nbytes)
             if execution.tracer.enabled:

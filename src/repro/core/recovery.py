@@ -66,6 +66,7 @@ class RecoveryCoordinator:
         execution.runtimes = {
             worker.worker_id: {} for worker in execution.cluster.workers
         }
+        execution.state_changed()
         execution.poisoned_channels.clear()
         for worker in execution.cluster.workers:
             worker.flight.wipe_stages(stage_ids)

@@ -611,28 +611,41 @@ class Session:
             return
 
     def _serve_query(self, worker: Worker, execution: ExecutionContext):
-        """Run one query's outstanding tasks on ``worker`` (one sweep's share)."""
+        """Run one query's outstanding tasks on ``worker`` (one sweep's share).
+
+        Most attempts of Algorithm 1's polling loop are *idle*: the task's
+        inputs are not ready, so ``_run_descriptor`` returns False without
+        yielding — zero virtual time, no observable effect.  Such an attempt
+        is memoized against the query's readiness version and skipped while
+        that version is unchanged, since re-running it could only idle again.
+        """
         budget = (
             self.scheduler.tasks_per_sweep if len(self.scheduler.active) > 1 else None
         )
         progressed = False
+        idle_attempts = execution.idle_attempts
         try:
             for descriptor in execution.gcs.tasks.for_worker(worker.worker_id):
                 if execution.query_finished or not worker.alive:
                     break
                 if self.gcs.control.recovery_in_progress():
                     break
+                memo_key = (
+                    worker.worker_id, descriptor.name, descriptor.kind, descriptor.prescribed
+                )
+                if idle_attempts.get(memo_key) == execution.readiness_version():
+                    continue  # provably idle again: nothing it reads has changed
                 current = execution.gcs.tasks.get(descriptor.name)
                 if current is None or current.worker_id != worker.worker_id:
                     continue
                 claim = (execution.query_id, descriptor.name)
                 if claim in self._inflight:
                     continue  # another TaskManager slot is already running it
-                self._inflight.add(claim)
-                try:
-                    ran = yield from execution._run_descriptor(worker, descriptor)
-                finally:
-                    self._inflight.discard(claim)
+                ran, idle = yield from self._attempt(worker, execution, descriptor, claim)
+                if idle:
+                    idle_attempts[memo_key] = execution.readiness_version()
+                else:
+                    idle_attempts.pop(memo_key, None)
                 progressed = progressed or ran
                 if ran and budget is not None:
                     budget -= 1
@@ -653,11 +666,9 @@ class Session:
                     claim = (execution.query_id, descriptor.name, "speculative")
                     if claim in self._inflight:
                         continue
-                    self._inflight.add(claim)
-                    try:
-                        ran = yield from execution._run_descriptor(worker, descriptor)
-                    finally:
-                        self._inflight.discard(claim)
+                    ran, _idle = yield from self._attempt(
+                        worker, execution, descriptor, claim
+                    )
                     progressed = progressed or ran
         except ExecutionError as error:
             if not worker.alive:
@@ -670,6 +681,25 @@ class Session:
                 ExecutionError(f"task failed on worker {worker.worker_id}: {error}")
             )
         return progressed
+
+    def _attempt(self, worker: Worker, execution: ExecutionContext, descriptor, claim):
+        """Process: run one claimed descriptor; returns ``(ran, idle)``.
+
+        ``idle`` means the attempt returned False without yielding.  Any other
+        attempt may have changed channel runtimes on its way, so its end
+        invalidates every idle-attempt memo.
+        """
+        steps = self.env.steps
+        ran = False
+        self._inflight.add(claim)
+        try:
+            ran = yield from execution._run_descriptor(worker, descriptor)
+        finally:
+            self._inflight.discard(claim)
+            idle = not ran and self.env.steps == steps
+            if not idle:
+                execution.state_changed()
+        return ran, idle
 
     # -- the head-node coordinator ---------------------------------------------------------
 

@@ -94,6 +94,9 @@ class GCSStore:
         self._log: List[_LogRecord] = []
         self._log_sequence = 0
         self.stats = GCSStats()
+        #: Bumped by every committed transaction and every restore, so a
+        #: reader can cache anything derived from the tables until it moves.
+        self.version = 0
 
     # -- reads -------------------------------------------------------------------
 
@@ -138,6 +141,7 @@ class GCSStore:
     def _apply(self, operations: List[Tuple[str, str, Any, Any]]) -> None:
         if not operations:
             return
+        self.version += 1
         for op, table, key, value in operations:
             if op == "put":
                 self._tables[table][key] = value
@@ -169,6 +173,7 @@ class GCSStore:
     def restore(self, snapshot: Dict[str, Dict[Any, Any]]) -> None:
         """Replace the store contents with ``snapshot``."""
         self._tables = defaultdict(dict, {name: dict(t) for name, t in snapshot.items()})
+        self.version += 1
 
     def replay_log(self, upto: Optional[int] = None) -> "GCSStore":
         """Rebuild a fresh store by replaying the write-ahead log.

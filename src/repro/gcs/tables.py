@@ -95,6 +95,9 @@ class TaskTable:
     def __init__(self, store: GCSStore, table: str = TASK_TABLE):
         self._store = store
         self._table = table
+        #: ``for_worker`` results of every worker, valid at ``_by_worker_version``.
+        self._by_worker: Dict[int, Tuple[TaskDescriptor, ...]] = {}
+        self._by_worker_version = -1
 
     def add(self, descriptor: TaskDescriptor, txn: Optional[Transaction] = None) -> None:
         """Assign a task to a worker."""
@@ -115,13 +118,22 @@ class TaskTable:
         return self._store.get(self._table, task)
 
     def for_worker(self, worker_id: int) -> List[TaskDescriptor]:
-        """Outstanding tasks assigned to ``worker_id``, replay tasks first."""
-        tasks = [
-            desc
-            for _name, desc in self._store.items(self._table)
-            if desc.worker_id == worker_id
-        ]
-        return sorted(tasks, key=lambda d: (d.kind != "replay", d.name))
+        """Outstanding tasks assigned to ``worker_id``, replay tasks first.
+
+        Every TaskManager sweep asks this, and most sweeps find the table
+        unchanged, so all workers' lists are built in one pass and reused
+        until the store's version moves.
+        """
+        if self._by_worker_version != self._store.version:
+            by_worker: Dict[int, List[TaskDescriptor]] = {}
+            for _name, desc in self._store.items(self._table):
+                by_worker.setdefault(desc.worker_id, []).append(desc)
+            self._by_worker = {
+                worker: tuple(sorted(tasks, key=lambda d: (d.kind != "replay", d.name)))
+                for worker, tasks in by_worker.items()
+            }
+            self._by_worker_version = self._store.version
+        return list(self._by_worker.get(worker_id, ()))
 
     def all(self) -> List[TaskDescriptor]:
         """Every outstanding task."""

@@ -278,6 +278,9 @@ class Environment:
         self._queue: List = []
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
+        #: Events processed so far.  A process that reads the same value
+        #: before and after a ``yield from`` knows the delegate never yielded.
+        self.steps = 0
 
     @property
     def now(self) -> float:
@@ -322,6 +325,7 @@ class Environment:
             raise SimulationError("cannot step an empty event queue")
         when, _tie, event = heapq.heappop(self._queue)
         self._now = when
+        self.steps += 1
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:

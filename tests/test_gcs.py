@@ -107,6 +107,23 @@ class TestGCSStore:
         store.restore(snap)
         assert store.get("t", "k") == 1
 
+    def test_version_moves_on_every_commit_and_restore(self):
+        store = GCSStore()
+        versions = [store.version]
+        store.put("t", "k", 1)
+        versions.append(store.version)
+        snap = store.snapshot()
+        with store.transaction() as txn:
+            txn.put("t", "k", 2).delete("t", "other")
+        versions.append(store.version)
+        store.transaction().commit()  # empty: nothing changed
+        assert store.version == versions[-1]
+        store.get("t", "k")
+        assert store.version == versions[-1]
+        store.restore(snap)
+        versions.append(store.version)
+        assert versions == sorted(set(versions))
+
     def test_stats_counters(self):
         store = GCSStore()
         store.put("t", "k", 1)
@@ -147,6 +164,32 @@ class TestTypedTables:
         assert len(gcs.tasks.for_worker(1)) == 1
         gcs.tasks.remove(TaskName(1, 0, 5))
         assert len(gcs.tasks) == 2
+
+    def test_for_worker_tracks_every_table_change(self):
+        gcs = GlobalControlStore()
+        other = gcs.for_query(1)
+        gcs.tasks.add(TaskDescriptor(TaskName(2, 0, 1), worker_id=0))
+        assert [t.name for t in gcs.tasks.for_worker(0)] == [TaskName(2, 0, 1)]
+        # A write in another query's namespace shares the store version.
+        other.tasks.add(TaskDescriptor(TaskName(9, 0, 0), worker_id=0))
+        assert [t.name for t in gcs.tasks.for_worker(0)] == [TaskName(2, 0, 1)]
+        assert [t.name for t in other.tasks.for_worker(0)] == [TaskName(9, 0, 0)]
+        gcs.tasks.add(TaskDescriptor(TaskName(1, 3, 0), worker_id=0))
+        gcs.tasks.add(TaskDescriptor(TaskName(5, 0, 0), worker_id=0, kind="replay"))
+        listed = gcs.tasks.for_worker(0)
+        assert [t.name for t in listed] == [
+            TaskName(5, 0, 0), TaskName(1, 3, 0), TaskName(2, 0, 1),
+        ]
+        listed.clear()  # callers get their own list
+        assert len(gcs.tasks.for_worker(0)) == 3
+        with gcs.transaction() as txn:
+            gcs.tasks.remove(TaskName(1, 3, 0), txn=txn)
+            gcs.tasks.add(TaskDescriptor(TaskName(1, 3, 0), worker_id=1), txn=txn)
+        assert [t.name for t in gcs.tasks.for_worker(0)] == [
+            TaskName(5, 0, 0), TaskName(2, 0, 1),
+        ]
+        assert [t.name for t in gcs.tasks.for_worker(1)] == [TaskName(1, 3, 0)]
+        assert gcs.tasks.for_worker(7) == []
 
     def test_task_commit_transaction_pattern(self):
         """The Algorithm-1 commit: lineage write + task swap in one transaction."""

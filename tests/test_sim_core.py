@@ -148,6 +148,28 @@ class TestProcessInteraction:
         assert env.run(env.process(proc())) == 1.0
 
 
+    def test_steps_tell_whether_a_delegate_yielded(self):
+        env = Environment()
+        seen = []
+
+        def ready():
+            return "now"
+            yield  # a generator that finishes on its first resume
+
+        def waits():
+            yield env.timeout(0)
+            return "later"
+
+        def proc():
+            for delegate in (ready, waits):
+                before = env.steps
+                value = yield from delegate()
+                seen.append((value, env.steps != before))
+
+        env.run(env.process(proc()))
+        assert seen == [("now", False), ("later", True)]
+
+
 class TestInterrupts:
     def test_interrupt_preempts_timeout(self):
         env = Environment()
