@@ -25,9 +25,9 @@ ConsumerKey = Tuple[int, int]
 class FlightServer:
     """In-memory buffer of not-yet-consumed input pieces, per consumer channel."""
 
-    def __init__(self, worker_id: int, changes: Optional[ChangeCounter] = None):
+    def __init__(self, worker_id: int, changes: ChangeCounter):
         self.worker_id = worker_id
-        self.changes = changes if changes is not None else ChangeCounter()
+        self.changes = changes
         self._buffers: Dict[ConsumerKey, Dict[TaskName, Batch]] = {}
 
     def put(self, consumer: ConsumerKey, producer_task: TaskName, piece: Batch) -> None:
