@@ -31,7 +31,7 @@ from typing import Optional, Protocol, Union, runtime_checkable
 from repro.api.systems import resolve_engine_config
 from repro.common.errors import ConfigError
 from repro.core.metrics import QueryMetrics, QueryResult
-from repro.core.options import QueryOptions
+from repro.core.options import QueryOptions, plan_with_options
 from repro.core.session import QueryHandle, Session
 from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import LogicalPlan
@@ -51,10 +51,9 @@ class Runner(Protocol):
 class OneShotRunner:
     """Run each submission on a fresh single-query simulated cluster.
 
-    Mirrors the paper's per-experiment methodology (and the old
-    ``ctx.execute``): every query gets its own cluster, no cross-query
-    caches.  The handle owns its private session and closes it after
-    ``wait()``.
+    Mirrors the paper's per-experiment methodology: every query gets its
+    own cluster, no cross-query caches.  The handle owns its private session
+    and closes it after ``wait()``.
     """
 
     def __init__(self, context):
@@ -197,7 +196,7 @@ class ParallelRunner:
     def submit(self, query: Query, options: Optional[QueryOptions] = None) -> QueryHandle:
         import time
 
-        from repro.parallel.runner import execute_graph_parallel
+        from repro.parallel.runner import ParallelExecutor
         from repro.physical.compiler import compile_plan
 
         options = options or QueryOptions()
@@ -217,27 +216,10 @@ class ParallelRunner:
                 "the parallel backend executes the static physical plan; "
                 "adaptive=True requires a simulated-cluster runner"
             )
-        plan = query.plan if isinstance(query, DataFrame) else query
-        estimator = None
         # Like the engine runners (and unlike the reference interpreter),
         # planning is cost-based unless explicitly disabled.
-        if options.optimize is None or options.optimize:
-            from repro.optimizer import (
-                CardinalityEstimator,
-                OptimizerConfig,
-                optimize_plan,
-            )
-
-            estimator = CardinalityEstimator(use_table_stats=options.use_table_stats)
-            plan = optimize_plan(
-                plan,
-                config=OptimizerConfig(join_reorder=options.join_reorder),
-                estimator=estimator,
-            )
-        runtime_filters = (
-            options.runtime_filters
-            if options.runtime_filters is not None
-            else estimator is not None
+        plan, estimator, runtime_filters = plan_with_options(
+            query.plan if isinstance(query, DataFrame) else query, options
         )
         graph = compile_plan(
             plan,
@@ -247,9 +229,11 @@ class ParallelRunner:
             runtime_filters=runtime_filters,
         )
         started = time.perf_counter()
-        batch, stats = execute_graph_parallel(
-            graph, workers=self.workers, morsel_rows=self.morsel_rows, seed=self.seed
+        executor = ParallelExecutor(
+            graph, self.workers, morsel_rows=self.morsel_rows, seed=self.seed
         )
+        batch = executor.execute()
+        stats = executor.stats
         metrics = QueryMetrics(
             runtime_seconds=time.perf_counter() - started,
             tasks_executed=stats.total_tasks,

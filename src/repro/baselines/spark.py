@@ -26,9 +26,8 @@ from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ExecutionError, FaultToleranceError
 from repro.core.metrics import QueryMetrics, QueryResult
 from repro.data.batch import Batch, concat_batches
-from repro.data.partition import hash_partition
 from repro.physical.compiler import compile_plan
-from repro.physical.stages import Stage, StageGraph, apply_ops
+from repro.physical.stages import Stage, StageGraph, apply_ops, partition_for_link
 from repro.plan.catalog import Catalog
 from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import LogicalPlan
@@ -289,16 +288,16 @@ class _SparkDriver:
         consumer = self.graph.consumer_of(stage.stage_id)
         if consumer is not None:
             consumer_stage, link = consumer
-            if link.partition_keys:
-                pieces = dict(
-                    enumerate(
-                        hash_partition(out_batch, link.partition_keys, consumer_stage.num_channels)
+            # Splits are dealt round-robin over channels, so this is the
+            # producing channel of map (split) and reduce tasks alike.
+            channel = spec.index % stage.num_channels
+            pieces = dict(
+                enumerate(
+                    partition_for_link(
+                        out_batch, link, consumer_stage.num_channels, channel
                     )
                 )
-            else:
-                pieces = {0: out_batch}
-                for channel in range(1, consumer_stage.num_channels):
-                    pieces[channel] = out_batch.slice(0, 0)
+            )
         else:
             pieces = {0: out_batch}
         nbytes = self.cost.scaled(out_batch.nbytes)

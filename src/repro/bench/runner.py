@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import SparkLikeEngine
-from repro.bench.reporting import geometric_mean
 from repro.bench.settings import BenchSettings
 from repro.cluster.faults import FailurePlan
 from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
@@ -486,13 +485,6 @@ class ExperimentRunner:
         makespan = session.env.now
         session.close()
         return makespan
-
-    # -- summaries ----------------------------------------------------------------------------
-
-    @staticmethod
-    def geomean_column(rows: List[Dict], column: str) -> float:
-        """Geometric mean of one column across rows."""
-        return geometric_mean(row[column] for row in rows)
 
 
 @lru_cache(maxsize=1)

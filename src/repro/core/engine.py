@@ -26,6 +26,7 @@ from repro.ft.base import FaultToleranceStrategy
 from repro.gcs.naming import Lineage, TaskName
 from repro.gcs.tables import GlobalControlStore, TaskDescriptor
 from repro.memory.manager import MemoryManager
+from repro.optimizer.runtime_filters import split_is_prunable
 from repro.physical.stages import Stage, StageGraph, apply_ops, partition_for_link
 from repro.plan.catalog import Catalog
 from repro.plan.dataframe import DataFrame
@@ -455,43 +456,10 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            if self.filters is not None and self.filters.split_prunable(
-                stage, split_index
-            ):
-                # Zone-map pruning: no row of this split can survive the
-                # scan's static bounds or a published min/max filter, so the
-                # task's output is the same empty batch a full read would
-                # produce — skip the S3 read (and the cache: the entry would
-                # only ever hold an empty batch this query can make for free).
-                out_batch, _rows, _nbytes = self._apply_post_ops(stage, [])
-                self.metrics.splits_pruned += 1
-            else:
-                cached = None
-                cache_key = None
-                if self.output_cache is not None:
-                    cache_key = scan_task_key(stage, split_index)
-                    if cache_key is not None:
-                        cached = self.output_cache.get(cache_key)
-                if cached is not None:
-                    # Another (or an earlier) query already committed this exact
-                    # scan output: serve it from session memory, skipping the S3
-                    # read and the post-op compute and charging only a copy.
-                    out_batch = cached
-                    self.metrics.cache_hits += 1
-                    yield self.env.timeout(
-                        self.cost_model.cpu_seconds(0, float(out_batch.nbytes))
-                    )
-                else:
-                    split_batch = yield from self._read_split(stage.table.name, split_index)
-                    out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
-                    yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
-                    if cache_key is not None:
-                        self.metrics.cache_misses += 1
-                        self.output_cache.put(cache_key, out_batch, float(out_batch.nbytes))
-                if self.filters is not None:
-                    # After the cache, so cached scan outputs stay unfiltered
-                    # and shareable with queries running without filters.
-                    out_batch = self.filters.apply(stage, out_batch)
+            cache_key = None
+            if self.output_cache is not None:
+                cache_key = scan_task_key(stage, split_index)
+            out_batch = yield from self._scan_split(stage, split_index, cache_key)
             record = Lineage(descriptor.name, input_split=split_index, kind="input")
             committed = yield from self._emit_output(
                 worker, stage, runtime, descriptor, out_batch, record, is_final
@@ -507,6 +475,41 @@ class ExecutionContext:
             return True
         finally:
             worker.cpu.release(request)
+
+    def _scan_split(self, stage: Stage, split_index: int, cache_key):
+        """Process: one split's scan output — the body of input and regen tasks.
+
+        Prune → read → post-ops → CPU charge → runtime filters.  A split no
+        row of which can survive the scan's static bounds or a published
+        min/max filter yields the same empty batch a full read would, without
+        the S3 read.  ``cache_key`` (``None`` on regeneration) serves and
+        fills the session's scan-output cache; filters apply after the
+        cache, so cached scan outputs stay unfiltered and shareable with
+        queries running without filters.
+        """
+        if self.filters is not None and split_is_prunable(
+            stage, split_index, self.filters.aimed_at(stage.stage_id)
+        ):
+            self.metrics.splits_pruned += 1
+            return Batch.empty(stage.output_schema)
+        cached = self.output_cache.get(cache_key) if cache_key is not None else None
+        if cached is not None:
+            # Another (or an earlier) query already committed this exact scan
+            # output: serve it from session memory, skipping the S3 read and
+            # the post-op compute and charging only a copy.
+            out_batch = cached
+            self.metrics.cache_hits += 1
+            yield self.env.timeout(self.cost_model.cpu_seconds(0, float(out_batch.nbytes)))
+        else:
+            split_batch = yield from self._read_split(stage.table.name, split_index)
+            out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
+            yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
+            if cache_key is not None:
+                self.metrics.cache_misses += 1
+                self.output_cache.put(cache_key, out_batch, float(out_batch.nbytes))
+        if self.filters is not None:
+            out_batch = self.filters.apply(stage, out_batch)
+        return out_batch
 
     def _read_split(self, table_name: str, split_index: int):
         """Process: fetch one base-table split, via the shared-scan pool if any.
@@ -820,8 +823,8 @@ class ExecutionContext:
             stale = False
             if consumer is not None:
                 consumer_stage, link = consumer
-                pieces = self._partition_for_consumer(
-                    out_batch, consumer_stage, link, task_name.channel
+                pieces = partition_for_link(
+                    out_batch, link, consumer_stage.num_channels, task_name.channel
                 )
                 for consumer_channel, piece in enumerate(pieces):
                     pieces_payload[consumer_channel] = piece
@@ -911,21 +914,6 @@ class ExecutionContext:
             self.finish_query(out_batch)
         return True
 
-    def _partition_for_consumer(
-        self, out_batch: Batch, consumer_stage: Stage, link, producer_channel: int
-    ) -> List[Batch]:
-        """Per-channel pieces of one output under the link's movement mode.
-
-        ``"partition"`` hash-partitions (or gathers to channel 0 without
-        keys); ``"broadcast"`` replicates the full batch to every channel (the
-        build side of a broadcast join); ``"aligned"`` sends everything to the
-        same-index consumer channel, which the default placement makes a
-        worker-local, zero-network push (the probe side of a broadcast join).
-        """
-        return partition_for_link(
-            out_batch, link, consumer_stage.num_channels, producer_channel
-        )
-
     # -- recovery tasks (replay / regenerate) -------------------------------------------------
 
     def _run_replay_task(self, worker: Worker, descriptor: TaskDescriptor):
@@ -970,22 +958,9 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            if self.filters is not None and self.filters.split_prunable(
-                stage, lineage.input_split
-            ):
-                # Mirror the original task's pruning decision exactly (the
-                # decision is deterministic: filters never change once
-                # published, and the original task only ran gated on them).
-                out_batch, rows, nbytes = self._apply_post_ops(stage, [])
-                self.metrics.splits_pruned += 1
-            else:
-                split_batch = yield from self._read_split(
-                    stage.table.name, lineage.input_split
-                )
-                out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
-                yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
-                if self.filters is not None:
-                    out_batch = self.filters.apply(stage, out_batch)
+            # Repeats the original task's pruning decision exactly: filters
+            # never change once published, and the original ran gated on them.
+            out_batch = yield from self._scan_split(stage, lineage.input_split, None)
             consumer = self.graph.consumer_of(stage.stage_id)
 
             def refresh():
@@ -997,8 +972,11 @@ class ExecutionContext:
                 consumer_stage, link = consumer
                 return dict(
                     enumerate(
-                        self._partition_for_consumer(
-                            out_batch, consumer_stage, link, descriptor.name.channel
+                        partition_for_link(
+                            out_batch,
+                            link,
+                            consumer_stage.num_channels,
+                            descriptor.name.channel,
                         )
                     )
                 )

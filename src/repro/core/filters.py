@@ -33,17 +33,24 @@ on the compiled graph:
 
 * **Application.**  :meth:`apply` drops non-matching rows from a target
   stage's output after its fused post-ops (and after the scan cache, so
-  cached scan outputs stay shareable with filter-less queries);
-  :meth:`split_prunable` skips whole scan splits whose zone map cannot
-  intersect a published min/max filter or the static predicate bounds.
+  cached scan outputs stay shareable with filter-less queries) through
+  :func:`~repro.kernels.runtimefilter.apply_runtime_filters`, and counts
+  them; the engine prunes whole scan splits with
+  :func:`~repro.optimizer.runtime_filters.split_is_prunable` over
+  :meth:`aimed_at`.  Both functions are the ones the parallel backend
+  calls, so the two backends drop and prune exactly the same rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.data.batch import Batch
-from repro.kernels.runtimefilter import RuntimeFilter, RuntimeFilterBuilder
+from repro.kernels.runtimefilter import (
+    RuntimeFilter,
+    RuntimeFilterBuilder,
+    apply_runtime_filters,
+)
 from repro.physical.stages import RuntimeFilterSpec, Stage
 
 
@@ -165,50 +172,36 @@ class FilterCoordinator:
 
     # -- application ----------------------------------------------------------------
 
-    def apply(self, stage: Stage, batch: Batch) -> Batch:
-        """Drop rows of a target-stage output that no published filter keeps.
+    def aimed_at(self, stage_id: int) -> List[Tuple[RuntimeFilterSpec, RuntimeFilter]]:
+        """The finalized filters aimed at ``stage_id``, paired with their specs.
 
-        The gate guarantees every filter aimed at ``stage`` is published by
-        the time its tasks run, so lookups are plain dict hits.
+        The gate guarantees every one is published by the time the stage's
+        tasks run, so lookups are plain dict hits.
         """
-        specs = self._by_target.get(stage.stage_id)
-        if not specs:
+        return [
+            (spec, self.filters[spec.filter_id])
+            for spec in self._by_target.get(stage_id, ())
+        ]
+
+    def apply(self, stage: Stage, batch: Batch) -> Batch:
+        """Filter one target-stage output, counting what each filter drops.
+
+        The counts feed the query metrics and :meth:`probe_scale`.
+        """
+        aimed = self.aimed_at(stage.stage_id)
+        if not aimed:
             return batch
+        batch, counts = apply_runtime_filters(
+            batch, [(spec.probe_key, rf) for spec, rf in aimed]
+        )
         metrics = self.execution.metrics
-        for spec in specs:
-            if batch.num_rows == 0:
-                break
-            rf = self.filters[spec.filter_id]
-            mask = rf.mask(batch.column_data(spec.probe_key))
-            tested = batch.num_rows
-            kept = int(mask.sum())
+        for (spec, _rf), (tested, dropped) in zip(aimed, counts):
             metrics.filter_rows_tested += tested
-            metrics.filter_rows_dropped += tested - kept
+            metrics.filter_rows_dropped += dropped
             observed = self._observed[spec.filter_id]
             observed[0] += tested
-            observed[1] += tested - kept
-            if kept < tested:
-                batch = batch.filter(mask)
+            observed[1] += dropped
         return batch
-
-    def split_prunable(self, stage: Stage, split_index: int) -> bool:
-        """True when no row of the split could survive the scan's filters."""
-        if stage.table is None:
-            return False
-        ready = [
-            (spec.target_raw_column, self.filters[spec.filter_id])
-            for spec in self._by_target.get(stage.stage_id, ())
-            if spec.target_raw_column is not None
-        ]
-        if not ready and not stage.scan_bounds:
-            return False
-        from repro.optimizer.runtime_filters import split_is_prunable
-        from repro.optimizer.statistics import split_zone_maps
-
-        maps = split_zone_maps(stage.table)
-        if maps is None or split_index >= len(maps):
-            return False
-        return split_is_prunable(maps[split_index], stage.scan_bounds, ready)
 
     # -- adaptive feedback ------------------------------------------------------------
 

@@ -11,7 +11,7 @@ enter the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
 from repro.common.config import (
     DEFAULT_BROADCAST_THRESHOLD_BYTES,
@@ -23,6 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.plan import ChaosOptions
     from repro.cluster.faults import FailurePlan
     from repro.common.config import EngineConfig
+    from repro.optimizer.stats import CardinalityEstimator
+    from repro.plan.nodes import LogicalPlan
 
 
 @dataclass(frozen=True)
@@ -114,3 +116,33 @@ class QueryOptions:
                 f"available: {sorted(field.name for field in fields(self))}"
             )
         return replace(self, **overrides)
+
+
+def plan_with_options(
+    plan: "LogicalPlan", options: QueryOptions
+) -> Tuple["LogicalPlan", Optional["CardinalityEstimator"], bool]:
+    """The planning step shared by the engine and parallel runners.
+
+    Returns ``(plan, estimator, runtime_filters)``.  Cost-based planning is
+    default-on (``optimize=None``); an explicit ``optimize=False`` takes the
+    seed-era heuristic path — no rewrite, no statistics, no broadcast joins,
+    fixed channel counts — and returns no estimator.  Runtime filters follow
+    the same resolution: on whenever the query planned cost-based, an
+    explicit ``True``/``False`` wins.
+    """
+    estimator = None
+    if options.optimize is None or options.optimize:
+        from repro.optimizer import CardinalityEstimator, OptimizerConfig, optimize_plan
+
+        estimator = CardinalityEstimator(use_table_stats=options.use_table_stats)
+        plan = optimize_plan(
+            plan,
+            config=OptimizerConfig(join_reorder=options.join_reorder),
+            estimator=estimator,
+        )
+    runtime_filters = (
+        options.runtime_filters
+        if options.runtime_filters is not None
+        else estimator is not None
+    )
+    return plan, estimator, runtime_filters

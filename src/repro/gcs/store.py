@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import GCSTransactionError
 
@@ -68,11 +68,6 @@ class Transaction:
     def committed(self) -> bool:
         """True once :meth:`commit` has run."""
         return self._committed
-
-    @property
-    def num_operations(self) -> int:
-        """Number of staged operations."""
-        return len(self._operations)
 
     def _ensure_open(self) -> None:
         if self._committed:
@@ -188,7 +183,3 @@ class GCSStore:
                 break
             rebuilt._apply(list(record.operations))
         return rebuilt
-
-    def iter_log(self) -> Iterator[_LogRecord]:
-        """Iterate over committed transactions (oldest first)."""
-        return iter(self._log)

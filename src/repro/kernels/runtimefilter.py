@@ -36,10 +36,11 @@ whenever the build side contained one.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.batch import Batch
 from repro.data.dictionary import DictionaryArray
 from repro.data.partition import hash_column
 from repro.data.schema import DataType
@@ -50,6 +51,7 @@ __all__ = [
     "EXACT_VALUE_LIMIT",
     "RuntimeFilter",
     "RuntimeFilterBuilder",
+    "apply_runtime_filters",
 ]
 
 #: Distinct-value cap above which an exact filter degrades to a Bloom filter.
@@ -329,3 +331,29 @@ class RuntimeFilterBuilder:
             self.has_nan,
             self.build_rows,
         )
+
+
+def apply_runtime_filters(
+    batch: Batch, probes: Sequence[Tuple[str, RuntimeFilter]]
+) -> Tuple[Batch, List[Tuple[int, int]]]:
+    """Drop the rows of ``batch`` that some filter in ``probes`` rejects.
+
+    ``probes`` pairs each filter with the column it tests, in filter-id
+    order; every filter sees only the rows the earlier ones kept.  Returns
+    the surviving rows and one ``(rows_tested, rows_dropped)`` pair per
+    probe — ``(0, 0)`` for the probes skipped once no row is left.  Every
+    backend filters through this one function, so all of them drop (and
+    count) exactly the same rows.
+    """
+    counts: List[Tuple[int, int]] = []
+    for probe_key, rf in probes:
+        tested = batch.num_rows
+        if not tested:
+            counts.append((0, 0))
+            continue
+        mask = rf.mask(batch.column_data(probe_key))
+        kept = int(mask.sum())
+        counts.append((tested, tested - kept))
+        if kept < tested:
+            batch = batch.filter(mask)
+    return batch, counts

@@ -31,15 +31,18 @@ Runs over a compiled :class:`~repro.physical.stages.StageGraph` (after
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.expr.nodes import Alias, Between, BinaryOp, Column, InList, Literal
+from repro.kernels.runtimefilter import RuntimeFilter
 from repro.optimizer.cost import runtime_filter_decision
+from repro.optimizer.statistics import split_zone_maps
 from repro.physical.stages import (
     FilterOp,
     PartialAggregateOp,
     ProjectOp,
     RuntimeFilterSpec,
+    Stage,
     StageGraph,
 )
 
@@ -239,21 +242,32 @@ def _is_ordered(value) -> bool:
 
 
 def split_is_prunable(
-    zone_map: Dict[str, Tuple[object, object, bool]],
-    scan_bounds: Optional[Dict[str, Tuple[object, object]]],
-    runtime_filters: Optional[List] = None,
+    stage: Stage,
+    split_index: int,
+    filters: Sequence[Tuple[RuntimeFilterSpec, RuntimeFilter]],
 ) -> bool:
-    """True when no row of a split can survive the scan's filters.
+    """True when no row of one scan split can survive the scan's filters.
 
-    ``zone_map`` holds ``column -> (min, max, has_nan)`` for the split
-    (``(None, None, True)`` for an all-NaN float column);  ``scan_bounds`` the
-    static per-column bounds; ``runtime_filters`` pairs of
-    ``(raw_column_name, RuntimeFilter)`` for ready filters whose probe key
-    traces to a raw column of this scan.  Pruning a split is exactly
-    equivalent to reading it: every row would fail a predicate (or the
-    filter), so the task's output is the same empty batch either way.
+    Compares the split's zone map (``column -> (min, max, has_nan)``, see
+    :func:`~repro.optimizer.statistics.split_zone_maps`) against the
+    stage's static ``scan_bounds`` and against every finalized filter in
+    ``filters`` (each paired with its spec) whose probe key traces to a raw
+    column of the scan.  Pruning a split is exactly equivalent to reading
+    it: every row would fail a predicate (or a filter), so the task's
+    output is the same empty batch either way.
     """
-    for name, (low, high) in (scan_bounds or {}).items():
+    ready = [
+        (spec.target_raw_column, rf)
+        for spec, rf in filters
+        if spec.target_raw_column is not None
+    ]
+    if stage.table is None or (not ready and not stage.scan_bounds):
+        return False
+    maps = split_zone_maps(stage.table)
+    if maps is None or split_index >= len(maps):
+        return False
+    zone_map = maps[split_index]
+    for name, (low, high) in (stage.scan_bounds or {}).items():
         zone = zone_map.get(name)
         if zone is None:
             continue
@@ -265,7 +279,7 @@ def split_is_prunable(
             return True
         if low is not None and zone_high < low:
             return True
-    for name, rf in runtime_filters or ():
+    for name, rf in ready:
         zone = zone_map.get(name)
         if zone is None:
             continue

@@ -21,7 +21,6 @@ from repro.parallel.runner import (
     ParallelExecutionStats,
     ParallelExecutor,
     StageGraphTaskHandler,
-    execute_graph_parallel,
 )
 from repro.parallel.shm import (
     BlockRegistry,
@@ -48,7 +47,6 @@ __all__ = [
     "ParallelExecutor",
     "ParallelExecutionStats",
     "StageGraphTaskHandler",
-    "execute_graph_parallel",
     "ShmBatchRef",
     "BlockRegistry",
     "write_batch",

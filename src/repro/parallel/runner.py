@@ -10,8 +10,9 @@ worker processes, stage by stage:
 2. all batch payloads between tasks travel through shared memory
    (:mod:`repro.parallel.shm`) — the queues carry only handles;
 3. stage boundaries repartition through the exact same
-   :func:`~repro.physical.stages.partition_for_link` the in-process and
-   simulated executors use, so hash placement is bit-identical;
+   :func:`~repro.physical.stages.partition_for_link` the simulated engine
+   and the Spark-like baseline use, so hash placement is bit-identical, and
+   runtime filters apply and prune through the engine's functions too;
 4. each emitted piece carries a driver-assigned sequence key, and the driver
    sorts every consumer channel's pieces by that key before dispatching the
    consumer — operator input order is a pure function of
@@ -29,12 +30,17 @@ from __future__ import annotations
 
 import itertools
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.data.batch import Batch, concat_batches
+from repro.kernels.runtimefilter import (
+    RuntimeFilter,
+    RuntimeFilterBuilder,
+    apply_runtime_filters,
+)
+from repro.optimizer.runtime_filters import split_is_prunable
 from repro.parallel.morsel import (
     DEFAULT_MORSEL_ROWS,
     ChannelTask,
@@ -82,7 +88,6 @@ class ParallelExecutionStats:
     filter_rows_tested: int = 0
     filter_rows_dropped: int = 0
     splits_pruned: int = 0
-    stage_walls: Dict[int, float] = field(default_factory=dict)
 
     @property
     def total_tasks(self) -> int:
@@ -125,15 +130,11 @@ class StageGraphTaskHandler:
     def _run_scan(self, task: ScanTask):
         stage = self.graph.stage(task.stage_id)
         split = stage.table.splits()[task.split_index]
-        sequenced: List[Tuple[tuple, Batch]] = []
-        for morsel_index, chunk in enumerate(split.split(self.morsel_rows)):
-            transformed = apply_ops(chunk, stage.post_ops)
-            if transformed.num_rows:
-                sequenced.append(
-                    ((task.channel, task.split_position, morsel_index, 0), transformed)
-                )
-        sequenced, tested, dropped = self._apply_filters(task.filters, sequenced)
-        return self._route(stage, task.channel, sequenced), tested, dropped
+        sequenced = [
+            ((task.channel, task.split_position, morsel_index, 0), chunk)
+            for morsel_index, chunk in enumerate(split.split(self.morsel_rows))
+        ]
+        return self._finish(stage, task.channel, sequenced, task.filters)
 
     def _run_channel(self, task: ChannelTask):
         stage = self.graph.stage(task.stage_id)
@@ -145,7 +146,7 @@ class StageGraphTaskHandler:
                 emitted.extend(operator.on_input(link.upstream_id, batch))
             emitted.extend(operator.on_upstream_done(link.upstream_id))
         emitted.extend(operator.finalize())
-        return self._route_emitted(stage, task.channel, emitted, task.filters)
+        return self._finish_emitted(stage, task.channel, emitted, task.filters)
 
     def _run_partial_agg(self, task: PartialAggTask):
         stage = self.graph.stage(task.stage_id)
@@ -160,50 +161,49 @@ class StageGraphTaskHandler:
         operator = stage.make_operator()
         for state in task.states:  # shard order — deterministic group order
             operator._state.merge(state)
-        return self._route_emitted(
+        return self._finish_emitted(
             stage, task.channel, list(operator.finalize()), task.filters
         )
 
     # -- routing ----------------------------------------------------------------
 
-    def _route_emitted(
+    def _finish_emitted(
         self, stage: Stage, channel: int, emitted: List[Batch], filters
     ):
-        sequenced = []
-        for emit_index, batch in enumerate(emitted):
-            out = apply_ops(batch, stage.post_ops)
-            if out.num_rows:
-                sequenced.append(((channel, emit_index), out))
-        sequenced, tested, dropped = self._apply_filters(filters, sequenced)
-        return self._route(stage, channel, sequenced), tested, dropped
+        sequenced = [
+            ((channel, emit_index), batch) for emit_index, batch in enumerate(emitted)
+        ]
+        return self._finish(stage, channel, sequenced, filters)
 
-    def _apply_filters(self, filters, sequenced):
-        """Drop rows no runtime filter keeps from each sequenced output batch.
+    def _finish(
+        self, stage: Stage, channel: int, sequenced: List[Tuple[tuple, Batch]], filters
+    ):
+        """Post-ops, runtime filters, then routing for one task's output.
 
-        Applied at the task's *output* (after the stage's fused post-ops),
-        mirroring where the simulated engine's FilterCoordinator applies —
-        both backends therefore route the exact same surviving row sets.
+        Filters apply at the task's *output* (after the stage's fused
+        post-ops) through the same function the simulated engine uses, so
+        both backends route the exact same surviving row sets.  Returns the
+        routed pieces and the rows the filters tested and dropped.
         """
-        if not filters:
-            return sequenced, 0, 0
+        probes = [(probe_key, self._filter(handle)) for probe_key, handle in filters]
         tested = dropped = 0
-        filtered: List[Tuple[tuple, Batch]] = []
+        survivors: List[Tuple[tuple, Batch]] = []
         for seq, batch in sequenced:
-            for probe_key, handle in filters:
-                if not batch.num_rows:
-                    break
-                rf = self._filter_cache.get(handle.block)
-                if rf is None:
-                    rf = self._filter_cache[handle.block] = read_blob(handle)
-                mask = rf.mask(batch.column_data(probe_key))
-                kept = int(mask.sum())
-                tested += batch.num_rows
-                dropped += batch.num_rows - kept
-                if kept < batch.num_rows:
-                    batch = batch.filter(mask)
+            batch = apply_ops(batch, stage.post_ops)
+            if probes and batch.num_rows:
+                batch, counts = apply_runtime_filters(batch, probes)
+                tested += sum(count[0] for count in counts)
+                dropped += sum(count[1] for count in counts)
             if batch.num_rows:
-                filtered.append((seq, batch))
-        return filtered, tested, dropped
+                survivors.append((seq, batch))
+        return self._route(stage, channel, survivors), tested, dropped
+
+    def _filter(self, handle: ShmBlobRef) -> RuntimeFilter:
+        """A shipped runtime filter, deserialised once per process."""
+        rf = self._filter_cache.get(handle.block)
+        if rf is None:
+            rf = self._filter_cache[handle.block] = read_blob(handle)
+        return rf
 
     def _route(
         self, stage: Stage, channel: int, sequenced: List[Tuple[tuple, Batch]]
@@ -298,7 +298,6 @@ class ParallelExecutor:
             # the simulated engine's publication gate.
             for stage_id in graph.topological_order(include_filter_edges=True):
                 stage = graph.stage(stage_id)
-                started = time.perf_counter()
                 if stage.is_input:
                     routed = self._run_input_stage(stage, pool, next_id, release_all)
                 else:
@@ -314,7 +313,6 @@ class ParallelExecutor:
                 for link in stage.upstreams:
                     for name in blocks_by_stage.pop(link.upstream_id, ()):
                         unlink_block(name)
-                self.stats.stage_walls[stage_id] = time.perf_counter() - started
 
             final_pieces.sort(key=lambda piece: piece[0])
             result_schema = graph.stage(graph.result_stage_id).output_schema
@@ -332,20 +330,19 @@ class ParallelExecutor:
         # static predicate bounds or a published min/max filter would filter
         # to zero rows — skipping its task routes the exact same (empty)
         # piece set without reading the split.
-        live = [t for t in tasks if not self._split_prunable(stage, t.split_index)]
+        aimed = [
+            (spec, self._filters[spec.filter_id])
+            for spec in self.graph.filters_for_target(stage.stage_id)
+        ]
+        live = [
+            t for t in tasks if not split_is_prunable(stage, t.split_index, aimed)
+        ]
         self.stats.splits_pruned += len(tasks) - len(live)
         filters = self._filter_handles_for(stage)
         for task in live:
             task.filters = filters
         self.stats.scan_tasks += len(live)
-        payloads = pool.run(live, on_error=on_error)
-        routed: List[RoutedPiece] = []
-        for task in live:
-            pieces, tested, dropped = payloads[task.task_id]
-            self.stats.filter_rows_tested += tested
-            self.stats.filter_rows_dropped += dropped
-            routed.extend(pieces)
-        return routed
+        return self._collect(live, pool.run(live, on_error=on_error))
 
     def _run_inner_stage(
         self, stage, pool, inbox, next_id, on_error
@@ -388,12 +385,7 @@ class ParallelExecutor:
         self.stats.agg_shard_tasks += sum(len(ts) for _, ts in sharded)
         round_one = channel_tasks + [t for _, ts in sharded for t in ts]
         payloads = pool.run(round_one, on_error=on_error)
-        routed = []
-        for t in channel_tasks:
-            pieces, tested, dropped = payloads[t.task_id]
-            self.stats.filter_rows_tested += tested
-            self.stats.filter_rows_dropped += dropped
-            routed.extend(pieces)
+        routed = self._collect(channel_tasks, payloads)
         if sharded:
             merges = [
                 MergeAggTask(
@@ -404,12 +396,18 @@ class ParallelExecutor:
                 for channel, shard_tasks in sharded
             ]
             self.stats.merge_tasks += len(merges)
-            merged = pool.run(merges, on_error=on_error)
-            for t in merges:
-                pieces, tested, dropped = merged[t.task_id]
-                self.stats.filter_rows_tested += tested
-                self.stats.filter_rows_dropped += dropped
-                routed.extend(pieces)
+            routed.extend(self._collect(merges, pool.run(merges, on_error=on_error)))
+        return routed
+
+    def _collect(self, tasks, payloads) -> List[RoutedPiece]:
+        """The finished tasks' routed pieces in task order; folds in their
+        filter counts."""
+        routed: List[RoutedPiece] = []
+        for task in tasks:
+            pieces, tested, dropped = payloads[task.task_id]
+            self.stats.filter_rows_tested += tested
+            self.stats.filter_rows_dropped += dropped
+            routed.extend(pieces)
         return routed
 
     def _register_pieces(
@@ -440,8 +438,6 @@ class ParallelExecutor:
         analogue of the engine folding every committed task output — the
         reductions are idempotent, so duplicates would not even matter.
         """
-        from repro.kernels.runtimefilter import RuntimeFilterBuilder
-
         specs = self.graph.filters_from_source(stage.stage_id)
         if not specs:
             return
@@ -478,22 +474,6 @@ class ParallelExecutor:
             for spec in self.graph.filters_for_target(stage.stage_id)
         ]
 
-    def _split_prunable(self, stage, split_index: int) -> bool:
-        ready = [
-            (spec.target_raw_column, self._filters[spec.filter_id])
-            for spec in self.graph.filters_for_target(stage.stage_id)
-            if spec.target_raw_column is not None
-        ]
-        if not ready and not stage.scan_bounds:
-            return False
-        from repro.optimizer.runtime_filters import split_is_prunable
-        from repro.optimizer.statistics import split_zone_maps
-
-        maps = split_zone_maps(stage.table)
-        if maps is None or split_index >= len(maps):
-            return False
-        return split_is_prunable(maps[split_index], stage.scan_bounds, ready)
-
 
 def _is_shardable_agg(stage: Stage) -> bool:
     """Aggregation channels can split into mergeable partial states.
@@ -510,14 +490,3 @@ def _is_shardable_agg(stage: Stage) -> bool:
     except Exception:
         return False
 
-
-def execute_graph_parallel(
-    graph: StageGraph,
-    workers: int,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    seed: int = 0,
-) -> Tuple[Batch, ParallelExecutionStats]:
-    """Convenience wrapper: execute ``graph`` and return (result, stats)."""
-    executor = ParallelExecutor(graph, workers, morsel_rows=morsel_rows, seed=seed)
-    result = executor.execute()
-    return result, executor.stats

@@ -202,14 +202,3 @@ class CollectOperator(Operator):
     @property
     def state_nbytes(self) -> int:
         return self._buffer_nbytes
-
-
-class PassThroughOperator(Operator):
-    """Stateless stage operator: every input batch is emitted unchanged.
-
-    Used when a stage exists purely to re-partition data (rare in compiled
-    plans but useful for tests and custom stage graphs).
-    """
-
-    def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
-        return [batch] if batch.num_rows else []

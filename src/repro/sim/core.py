@@ -287,11 +287,6 @@ class Environment:
         """Current virtual time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
     def event(self) -> Event:
         """Create a new untriggered event."""
         return Event(self)

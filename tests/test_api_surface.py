@@ -166,12 +166,6 @@ def test_query_options_fields_are_stable():
     ]
 
 
-def test_deprecated_shims_still_exported():
-    # The old surface must remain callable (as shims) until a major release.
-    for name in ("execute", "execute_reference", "execute_many"):
-        assert callable(getattr(api.QuokkaContext, name))
-
-
 #: Snapshot of the cost-annotated EXPLAIN output: every node carries its
 #: estimated rows/bytes and cumulative C_out cost, derived from the table's
 #: (lazily analyzed) statistics.  Estimates are deterministic functions of

@@ -4,7 +4,7 @@ A broadcast join replicates the (small) build side to every join channel
 (``UpstreamLink.mode="broadcast"``) while the probe side stays
 channel-aligned (``mode="aligned"``) — a worker-local push under the default
 placement.  These tests cover the physical compilation rule, correctness on
-all join types through the in-process executor, the end-to-end engine path
+all join types through the inline parallel executor, the end-to-end engine path
 (including the bytes-shuffled saving the rule exists for), and recovery of
 replicated (non-partitioned) upstream links under injected failures and
 chaos schedules.
@@ -19,8 +19,8 @@ from repro.core.options import QueryOptions
 from repro.core.session import Session
 from repro.data.batch import Batch
 from repro.optimizer import CardinalityEstimator
+from repro.parallel import ParallelExecutor
 from repro.physical import compile_plan
-from repro.physical.local import execute_stage_graph_locally
 from repro.plan.catalog import Catalog
 from repro.plan.dataframe import DataFrame
 from repro.plan.interpreter import execute_plan
@@ -123,7 +123,7 @@ class TestCorrectness:
             estimator=CardinalityEstimator(), broadcast_threshold_bytes=1e6,
         )
         assert broadcast_links(graph), "broadcast must actually fire for this test"
-        result = execute_stage_graph_locally(graph, batch_rows=300)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=300).execute()
         assert batches_match(result, execute_plan(df.plan))
 
     @pytest.mark.parametrize("number", [5, 9, 21])

@@ -30,7 +30,6 @@ from repro.parallel import (
     ParallelExecutor,
     WorkerPool,
     agg_shard_count,
-    execute_graph_parallel,
     read_batch,
     split_sizes,
     sweep_blocks,
@@ -359,7 +358,9 @@ class TestRunnerSurface:
         # One channel per stage + tiny morsels forces the scalar/grouped
         # aggregation channels to shard across the 4-worker pool.
         graph = compile_plan(plan, num_channels=1)
-        batch, stats = execute_graph_parallel(graph, workers=4, morsel_rows=256)
+        executor = ParallelExecutor(graph, workers=4, morsel_rows=256)
+        batch = executor.execute()
+        stats = executor.stats
         assert batches_match(batch, _expected("standard", 1))
         assert stats.scan_tasks > 0
         assert stats.agg_shard_tasks >= 2

@@ -1,12 +1,12 @@
-"""Tests for stage-graph compilation and in-process stage-graph execution."""
+"""Tests for stage-graph compilation and inline (``workers=0``) execution."""
 
 import pytest
 
 from repro.common.errors import PlanError
 from repro.data import Batch
 from repro.expr import col, lit
+from repro.parallel import ParallelExecutor
 from repro.physical import compile_plan
-from repro.physical.local import execute_stage_graph_locally
 from repro.physical.stages import FilterOp, PartialAggregateOp
 from repro.plan import Catalog, DataFrame, TableScan, execute_plan
 from repro.plan.dataframe import avg_agg, count_agg, sum_agg
@@ -143,7 +143,7 @@ class TestLocalExecutionMatchesInterpreter:
         )
         expected = execute_plan(df.plan)
         graph = compile_plan(df.plan, num_channels=num_channels)
-        result = execute_stage_graph_locally(graph, batch_rows=13)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=13).execute()
         assert result.equals(expected, sort_keys=["o_custkey"])
 
     @pytest.mark.parametrize("num_channels", [1, 3])
@@ -157,7 +157,7 @@ class TestLocalExecutionMatchesInterpreter:
         )
         expected = execute_plan(df.plan)
         graph = compile_plan(df.plan, num_channels=num_channels)
-        result = execute_stage_graph_locally(graph, batch_rows=7)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=7).execute()
         assert result.equals(expected, sort_keys=["c_nation"])
 
     def test_semi_join(self, catalog):
@@ -169,7 +169,7 @@ class TestLocalExecutionMatchesInterpreter:
         )
         expected = execute_plan(df.plan)
         graph = compile_plan(df.plan, num_channels=3)
-        result = execute_stage_graph_locally(graph)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=10_000).execute()
         assert result.equals(expected)
 
     def test_top_k_query(self, catalog):
@@ -181,7 +181,7 @@ class TestLocalExecutionMatchesInterpreter:
         )
         expected = execute_plan(df.plan)
         graph = compile_plan(df.plan, num_channels=2)
-        result = execute_stage_graph_locally(graph, batch_rows=11)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=11).execute()
         assert result.equals(expected)
 
     def test_projection_after_aggregation(self, catalog):
@@ -193,7 +193,7 @@ class TestLocalExecutionMatchesInterpreter:
         )
         expected = execute_plan(df.plan)
         graph = compile_plan(df.plan, num_channels=2)
-        result = execute_stage_graph_locally(graph)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=10_000).execute()
         assert result.equals(expected, sort_keys=["o_custkey"])
 
     def test_multi_join_pipeline(self, catalog):
@@ -210,5 +210,5 @@ class TestLocalExecutionMatchesInterpreter:
         )
         expected = execute_plan(df.plan)
         graph = compile_plan(df.plan, num_channels=4)
-        result = execute_stage_graph_locally(graph, batch_rows=9)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=9).execute()
         assert result.equals(expected, sort_keys=["nation"])

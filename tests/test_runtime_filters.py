@@ -30,13 +30,12 @@ from repro.kernels.filter import map_vocabulary
 from repro.kernels.join import JoinType
 from repro.kernels.runtimefilter import (
     EXACT_VALUE_LIMIT,
-    RuntimeFilter,
     RuntimeFilterBuilder,
 )
 from repro.optimizer.cost import runtime_filter_decision
 from repro.physical.compiler import compile_plan
 from repro.plan.catalog import Catalog
-from repro.tpch import build_query
+from repro.tpch import build_query, generate_catalog
 from repro.tpch.adversarial import adversarial_catalog
 
 
@@ -308,30 +307,39 @@ def _sorted_catalog():
     return catalog
 
 
+def _range_frame(ctx):
+    return (
+        ctx.read_table("facts")
+        .filter((col("f_date") >= lit(11_500)) & (col("f_date") < lit(11_600)))
+        .agg(total=("f_qty", "sum"))
+    )
+
+
+def _dim_join_frame(ctx):
+    return (
+        ctx.read_table("facts")
+        .join(ctx.read_table("dim"), left_on="f_date", right_on="d_date")
+        .agg(total=("f_qty", "sum"))
+    )
+
+
 class TestZoneMapPruning:
     @pytest.fixture(scope="class")
     def sorted_catalog(self):
         return _sorted_catalog()
 
-    def _range_frame(self, ctx):
-        return (
-            ctx.read_table("facts")
-            .filter((col("f_date") >= lit(11_500)) & (col("f_date") < lit(11_600)))
-            .agg(total=("f_qty", "sum"))
-        )
-
     def test_static_bounds_prune_on_engine(self, sorted_catalog):
         """Regression: a join-free plan (no filter edges at all) must still
         prune on its static scan bounds."""
         ctx = QuokkaContext(num_workers=4, catalog=sorted_catalog)
-        frame = self._range_frame(ctx)
+        frame = _range_frame(ctx)
         result = frame.submit(options=QueryOptions(runtime_filters=True)).wait()
         assert result.metrics.splits_pruned >= 10
         assert batches_match(result.batch, _reference(frame))
 
     def test_static_bounds_prune_on_parallel(self, sorted_catalog):
         ctx = QuokkaContext(num_workers=4, catalog=sorted_catalog)
-        frame = self._range_frame(ctx)
+        frame = _range_frame(ctx)
         result = (
             ParallelRunner(workers=2)
             .submit(frame, QueryOptions(runtime_filters=True))
@@ -342,7 +350,7 @@ class TestZoneMapPruning:
 
     def test_pruning_off_with_filters_off(self, sorted_catalog):
         ctx = QuokkaContext(num_workers=4, catalog=sorted_catalog)
-        frame = self._range_frame(ctx)
+        frame = _range_frame(ctx)
         result = frame.submit(options=QueryOptions(runtime_filters=False)).wait()
         assert result.metrics.splits_pruned == 0
         assert batches_match(result.batch, _reference(frame))
@@ -353,11 +361,7 @@ class TestZoneMapPruning:
         build-side filter's min/max range excludes most fact splits even
         though the query has no static predicate on the fact table."""
         ctx = QuokkaContext(num_workers=4, catalog=sorted_catalog)
-        frame = (
-            ctx.read_table("facts")
-            .join(ctx.read_table("dim"), left_on="f_date", right_on="d_date")
-            .agg(total=("f_qty", "sum"))
-        )
+        frame = _dim_join_frame(ctx)
         options = QueryOptions(runtime_filters=True)
         if backend == "engine":
             result = frame.submit(options=options).wait()
@@ -365,6 +369,71 @@ class TestZoneMapPruning:
             result = ParallelRunner(workers=2).submit(frame, options).wait()
         assert result.metrics.splits_pruned >= 10
         assert batches_match(result.batch, _reference(frame))
+
+
+# ---------------------------------------------------------------------------
+# both backends filter and prune through the same functions
+# ---------------------------------------------------------------------------
+
+_COUNTERS = (
+    "filters_published",
+    "filter_bytes",
+    "filter_rows_tested",
+    "filter_rows_dropped",
+    "splits_pruned",
+)
+
+
+def _counters(metrics):
+    return {name: getattr(metrics, name) for name in _COUNTERS}
+
+
+def _backend_counters(frame, options):
+    """Filter counters of the engine (static plan) and the inline parallel
+    executor, both with four channels per stage."""
+    engine = frame.submit(options=options.with_overrides(adaptive=False)).wait()
+    parallel = ParallelRunner(workers=0, num_channels=4).submit(frame, options).wait()
+    return _counters(engine.metrics), _counters(parallel.metrics)
+
+
+class TestBackendsCountFiltersAlike:
+    """The engine and the parallel backend publish the same filters and
+    test, drop and prune the same rows and splits."""
+
+    #: (filters_published, filter_bytes, filter_rows_tested,
+    #: filter_rows_dropped) at SF 0.01, data seed 3.
+    TPCH = {
+        5: (5, 32776, 72909, 50986),
+        9: (6, 19584, 83358, 72579),
+        17: (2, 16176, 60497, 60137),
+        21: (5, 60208, 76120, 37907),
+    }
+
+    @pytest.fixture(scope="class")
+    def tpch_catalog(self):
+        return generate_catalog(scale_factor=0.01, seed=3)
+
+    @pytest.mark.parametrize("number", sorted(TPCH))
+    def test_tpch_counters_match(self, tpch_catalog, number):
+        ctx = QuokkaContext(num_workers=4, catalog=tpch_catalog)
+        frame = build_query(tpch_catalog, number).bind(ctx)
+        engine, parallel = _backend_counters(frame, QueryOptions())
+        assert engine == parallel
+        assert (
+            engine["filters_published"],
+            engine["filter_bytes"],
+            engine["filter_rows_tested"],
+            engine["filter_rows_dropped"],
+        ) == self.TPCH[number]
+
+    @pytest.mark.parametrize("build", [_range_frame, _dim_join_frame])
+    def test_splits_pruned_match(self, build):
+        ctx = QuokkaContext(num_workers=4, catalog=_sorted_catalog())
+        engine, parallel = _backend_counters(
+            build(ctx), QueryOptions(runtime_filters=True)
+        )
+        assert engine == parallel
+        assert engine["splits_pruned"] >= 10
 
 
 # ---------------------------------------------------------------------------

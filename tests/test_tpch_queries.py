@@ -2,7 +2,7 @@
 
 Every query must build against the generated catalog, produce a non-degenerate
 plan, execute identically through the single-node interpreter and the
-in-process stage-graph executor, and — the golden differential tier — run
+inline (``workers=0``) parallel executor, and — the golden differential tier — run
 end-to-end through the distributed write-ahead-lineage engine with a
 batch-exact match against :mod:`repro.tpch.reference` for all 22 queries.
 """
@@ -12,8 +12,8 @@ import pytest
 from repro.chaos import batches_match
 from repro.common.config import ClusterConfig
 from repro.core.session import Session
+from repro.parallel import ParallelExecutor
 from repro.physical import compile_plan
-from repro.physical.local import execute_stage_graph_locally
 from repro.tpch import (
     QUERIES,
     QUERY_CATEGORIES,
@@ -74,7 +74,7 @@ class TestAllQueriesBuildAndRun:
         frame = build_query(catalog, number)
         expected = reference_answer(catalog, number)
         graph = compile_plan(frame.plan, num_channels=4)
-        result = execute_stage_graph_locally(graph, batch_rows=1500)
+        result = ParallelExecutor(graph, workers=0, morsel_rows=1500).execute()
         assert batches_match(result, expected)
 
 
