@@ -288,15 +288,8 @@ class _SparkDriver:
         consumer = self.graph.consumer_of(stage.stage_id)
         if consumer is not None:
             consumer_stage, link = consumer
-            # Splits are dealt round-robin over channels, so this is the
-            # producing channel of map (split) and reduce tasks alike.
-            channel = spec.index % stage.num_channels
             pieces = dict(
-                enumerate(
-                    partition_for_link(
-                        out_batch, link, consumer_stage.num_channels, channel
-                    )
-                )
+                enumerate(partition_for_link(out_batch, link, consumer_stage.num_channels))
             )
         else:
             pieces = {0: out_batch}

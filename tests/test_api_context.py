@@ -40,7 +40,7 @@ class TestQuokkaContext:
     def test_execute_matches_reference(self, ctx):
         query = sales_query(ctx)
         expected = query.collect_reference()
-        result = query.submit(query_name="sales-summary").wait()
+        result = query.submit(query_name="sales-summary", optimize=False).wait()
         assert result.query_name == "sales-summary"
         assert result.batch.equals(expected, sort_keys=["region"])
 
@@ -53,7 +53,9 @@ class TestQuokkaContext:
     def test_each_preset_system_produces_the_same_answer(self, ctx, system):
         query = sales_query(ctx)
         expected = query.collect_reference()
-        assert query.collect(system=system).equals(expected, sort_keys=["region"])
+        assert query.collect(system=system, optimize=False).equals(
+            expected, sort_keys=["region"]
+        )
 
     def test_unknown_system_rejected(self, ctx):
         with pytest.raises(ConfigError):

@@ -200,4 +200,5 @@ class TestCollectOnTpch:
         frame = build_query(catalog, query_number).bind(ctx)
         expected = reference_answer(catalog, query_number)
         assert frame.collect().equals(expected)
+        assert frame.collect(optimize=False).equals(expected)
         assert frame.collect_reference().equals(expected)
